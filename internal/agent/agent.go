@@ -70,6 +70,13 @@ type Agent struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
+	// accessMu serialises the agent's in-process accesses. In the
+	// trace model an access is an atomic action and parallel branches
+	// interleave them; two branches decided concurrently would both be
+	// checked against the same history and could jointly overshoot a
+	// counting ceiling that each one respects.
+	accessMu sync.Mutex
+
 	mu      sync.Mutex
 	visited []model.ServerID
 	err     error

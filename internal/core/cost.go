@@ -1,11 +1,10 @@
 package core
 
 // Per-clause evaluation-cost profiling: with cost profiling enabled,
-// every spatial prefix evaluation also runs the srac cost walk — the
-// same transcription of evalPrefix that coverage projects — and folds
-// each clause's work (leaf evals, count-window merges, 1-in-64
-// sampled wall time) into an obs/cost.Collector keyed by the same
-// (perm, path) identity coverage uses. Static checks feed a
+// the spatial prefix walk also records each clause's work (leaf
+// evals, 1-in-64 sampled wall time), folded into an
+// obs/cost.Collector keyed by the same (perm, path) identity coverage
+// uses. Static checks feed a
 // per-(program digest, policy digest) cost table, and every grant
 // bumps the re-walk amplification denominator. /debug/cost serves the
 // report; the federate poller folds it across the coalition; `stacctl
@@ -18,12 +17,10 @@ import (
 	"sync"
 	"time"
 
-	"stac/internal/model"
 	"stac/internal/obs/cost"
 	"stac/internal/rbac"
 	"stac/internal/srac"
 	"stac/internal/sral"
-	"stac/internal/trace"
 )
 
 // EnableCostProfiling turns on per-clause evaluation-cost accounting,
@@ -81,120 +78,69 @@ func (e *Engine) refreshCostPolicyDigest() {
 	e.costPolicy.Store(&d)
 }
 
-// costSamplePool recycles the per-decision sample buffers: the
-// translation slice is alive only for the Record call, so pooling it
-// keeps the profiled decision path free of a per-decision allocation.
-var costSamplePool = sync.Pool{
-	New: func() any {
-		s := make([]cost.NodeSample, 0, 32)
-		return &s
-	},
+// clauseFold is one decision's per-node walk record on its way into
+// clause coverage and cost profiling. The prefix walk fills the sink
+// as it decides, so the decision walks its constraint once whichever
+// aggregations are on; records are pooled, keeping the profiled
+// decision path free of per-decision buffers.
+type clauseFold struct {
+	sink    srac.Sink
+	cover   bool
+	col     *cost.Collector // nil when cost profiling is off
+	samples []cost.NodeSample
 }
 
-// costSamples translates the srac cost walk's nodes into the
-// collector's evaluator-agnostic sample type, into a pooled buffer.
-// Callers must putCostSamples after Record returns (Record does not
-// retain the slice).
-func costSamples(nodes []srac.NodeCost) *[]cost.NodeSample {
-	buf := costSamplePool.Get().(*[]cost.NodeSample)
-	out := (*buf)[:0]
-	for _, n := range nodes {
-		out = append(out, cost.NodeSample{Path: n.Path, Decisive: n.Decisive, Atoms: n.Atoms, Merges: n.Merges, NS: n.NS})
+var clauseFoldPool = sync.Pool{New: func() any { return new(clauseFold) }}
+
+// startFold returns a record for the next walk, or nil when neither
+// coverage nor cost profiling is on. The walk is timed when the cost
+// collector samples this evaluation (1-in-64).
+func (e *Engine) startFold() *clauseFold {
+	cover := e.covEnabled.Load()
+	var col *cost.Collector
+	if e.costEnabled.Load() {
+		col = e.costC.Load()
 	}
-	*buf = out
-	return buf
+	if !cover && col == nil {
+		return nil
+	}
+	f := clauseFoldPool.Get().(*clauseFold)
+	f.cover, f.col = cover, col
+	f.sink.Nodes = f.sink.Nodes[:0]
+	f.sink.Timed = col != nil && col.SampleTick()
+	return f
 }
 
-func putCostSamples(buf *[]cost.NodeSample) {
-	costSamplePool.Put(buf)
-}
-
-// costClauseResolver names lazily created cells from the policy's
-// unstamped constraint, so one row covers every requesting object —
-// the same convention applyCoverage uses.
-func costClauseResolver(unstamped srac.Constraint) func(string) string {
-	return func(path string) string {
-		if c, ok := srac.SubclauseAt(unstamped, path); ok {
-			return srac.String(c)
+// finishFold folds a walk record into the coverage and cost cells and
+// recycles it. histLen is the length of the scanned history, or -1
+// for a counter-path walk. Callers must not hold e.cntMu: the counter
+// lock and the coverage/cost stripes are never held together.
+func (e *Engine) finishFold(f *clauseFold, perm rbac.PermID, unstamped srac.Constraint, histLen int) {
+	if f == nil {
+		return
+	}
+	if f.cover {
+		e.applyCoverage(perm, unstamped, f.sink.Nodes)
+	}
+	if f.col != nil {
+		if histLen >= 0 {
+			f.col.NoteScan(histLen)
+		} else {
+			f.col.NoteIncremental()
 		}
-		return ""
+		f.samples = f.samples[:0]
+		for _, n := range f.sink.Nodes {
+			f.samples = append(f.samples, cost.NodeSample{Path: n.Path, Decisive: n.Decisive, Atoms: n.Atoms, NS: n.NS})
+		}
+		f.col.Record(string(perm), f.sink.Timed, f.samples, func(path string) string {
+			if c, ok := srac.SubclauseAt(unstamped, path); ok {
+				return srac.String(c)
+			}
+			return ""
+		})
 	}
-}
-
-// costScan profiles a scan-path evaluation: the cost walk re-runs the
-// stamped constraint over the hypothetical post-state history with
-// detail-free leaves, so its sampled timings carry the firstMatch /
-// countProven history scans and none of the explanation formatting.
-func (e *Engine) costScan(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	col := e.costC.Load()
-	if col == nil {
-		return
-	}
-	col.NoteScan(len(hyp))
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainTraceLeafEval(hyp, oracle), sampled)
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
-}
-
-// costIncremental profiles a counter-path evaluation. Counter reads
-// are snapshotted under the counter read-lock first (countSnapshot)
-// and the cost walk runs lock-free over the snapshot, so e.cntMu and
-// the collector stripes are never held together.
-func (e *Engine) costIncremental(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp model.Access) {
-	col := e.costC.Load()
-	if col == nil {
-		return
-	}
-	col.NoteIncremental()
-	counts := e.countSnapshot(stamped, hyp)
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainCountLeafEval(func(x srac.Count) int {
-		return counts[selKey(x.Sel)]
-	}), sampled)
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
-}
-
-// coverCostScan runs ONE cost walk for a scan-path evaluation and
-// splits the result between the coverage and cost aggregations — the
-// path taken when both are enabled (the production default), so the
-// decision path never pays two AST walks.
-func (e *Engine) coverCostScan(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	col := e.costC.Load()
-	if col == nil {
-		e.coverScan(perm, unstamped, stamped, hyp, oracle)
-		return
-	}
-	col.NoteScan(len(hyp))
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainTraceLeafEval(hyp, oracle), sampled)
-	e.applyCoverage(perm, unstamped, srac.CoverageOf(nodes))
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
-}
-
-// coverCostIncremental is coverCostScan's counter-path twin: one cost
-// walk over the counter snapshot feeds both aggregations.
-func (e *Engine) coverCostIncremental(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp model.Access) {
-	col := e.costC.Load()
-	if col == nil {
-		e.coverIncremental(perm, unstamped, stamped, hyp)
-		return
-	}
-	col.NoteIncremental()
-	counts := e.countSnapshot(stamped, hyp)
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainCountLeafEval(func(x srac.Count) int {
-		return counts[selKey(x.Sel)]
-	}), sampled)
-	e.applyCoverage(perm, unstamped, srac.CoverageOf(nodes))
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
+	f.col = nil
+	clauseFoldPool.Put(f)
 }
 
 // costStatic folds one static-check run into the (program digest,

@@ -3,8 +3,8 @@ package core
 // SRAC clause coverage: with coverage enabled, every spatial prefix
 // evaluation also records, per subformula of the permission's
 // constraint, how often the clause was evaluated, what it evaluated
-// to, and how often it was DECISIVE — the clause srac.Attribute blames
-// the whole verdict on. Aggregated over traffic this exposes dead
+// to, and how often it was DECISIVE — the clause the prefix walk
+// attributes the whole verdict to. Aggregated over traffic this exposes dead
 // clauses (never evaluated, or never decisive) that a policy author
 // can tighten or delete; /debug/coverage serves it and the federate
 // poller folds it across the coalition.
@@ -12,11 +12,9 @@ package core
 import (
 	"sort"
 
-	"stac/internal/model"
 	"stac/internal/obs/perf"
 	"stac/internal/rbac"
 	"stac/internal/srac"
-	"stac/internal/trace"
 )
 
 // covKey addresses one clause of one permission's spatial constraint.
@@ -147,11 +145,10 @@ func (e *Engine) Coverage() []ClauseCoverage {
 	return out
 }
 
-// applyCoverage folds one evaluation's node outcomes into the cells.
-// Clause text comes from the policy's unstamped constraint resolved
-// by path, NOT the stamped evaluation tree, so one row covers every
-// requesting object.
-func (e *Engine) applyCoverage(perm rbac.PermID, unstamped srac.Constraint, nodes []srac.NodeCoverage) {
+// applyCoverage folds one walk's node outcomes into the cells. Clause
+// text comes from the policy's unstamped constraint resolved by path,
+// so one row covers every requesting object.
+func (e *Engine) applyCoverage(perm rbac.PermID, unstamped srac.Constraint, nodes []srac.NodeCost) {
 	st := e.covStripeFor(perm)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -178,45 +175,4 @@ func (e *Engine) applyCoverage(perm rbac.PermID, unstamped srac.Constraint, node
 			cell.decisive++
 		}
 	}
-}
-
-// coverScan records coverage for a scan-path evaluation: the stamped
-// constraint against the hypothetical post-state history. The
-// detail-free leaf evaluator decides identically to the explaining
-// one; coverage only keeps (Status, Stable, Decisive), so the detail
-// strings would be formatted and dropped.
-func (e *Engine) coverScan(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	nodes, _ := srac.Cover(stamped, srac.PlainTraceLeafEval(hyp, oracle))
-	e.applyCoverage(perm, unstamped, nodes)
-}
-
-// countSnapshot snapshots, under the counter read-lock, the observed
-// count of every counting atom in the stamped constraint including
-// the hypothetical requested access. Coverage and cost walks then run
-// lock-free over the snapshot, so e.cntMu and the coverage/cost
-// stripes are never held together.
-func (e *Engine) countSnapshot(stamped srac.Constraint, hyp model.Access) map[string]int {
-	counts := make(map[string]int)
-	e.cntMu.RLock()
-	srac.Walk(stamped, func(c srac.Constraint) bool {
-		if cnt, ok := c.(srac.Count); ok {
-			n := e.countForLocked(cnt.Sel)
-			if cnt.Sel.SelectAccess(hyp) {
-				n++
-			}
-			counts[selKey(cnt.Sel)] = n
-		}
-		return true
-	})
-	e.cntMu.RUnlock()
-	return counts
-}
-
-// coverIncremental records coverage for a counter-path evaluation.
-func (e *Engine) coverIncremental(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp model.Access) {
-	counts := e.countSnapshot(stamped, hyp)
-	nodes, _ := srac.Cover(stamped, srac.PlainCountLeafEval(func(x srac.Count) int {
-		return counts[selKey(x.Sel)]
-	}))
-	e.applyCoverage(perm, unstamped, nodes)
 }

@@ -206,7 +206,7 @@ type Engine struct {
 	classOf map[rbac.PermID]ClassID
 
 	// cntMu guards the incremental counting state (see incremental.go).
-	// evalIncremental holds the read lock across its whole constraint
+	// decideSpatial holds the read lock across its whole constraint
 	// walk so a decision sees an atomic counter snapshot; RecordGrant
 	// takes the write lock per executed access.
 	cntMu     perf.RWMutex
@@ -698,12 +698,12 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 
 	// --- Spatial constraint (Expression 3.1). ---
 	if ps.Spatial != nil {
-		stamped := srac.StampObject(ps.Spatial, obj)
 		// check(P, C): a program that can never satisfy C disqualifies
 		// the object up front. Constraints that mention a companion's
 		// actions cannot be decided from this object's program alone,
 		// so they are left to the runtime history check.
-		if req.Program != nil && !srac.MentionsOtherObject(stamped, obj) {
+		if req.Program != nil && !srac.MentionsOtherObject(ps.Spatial, obj) {
+			stamped := srac.StampObject(ps.Spatial, obj)
 			csp, _ := t.StartSpan(tc, "static_check")
 			csp.SetService("engine")
 			checkStart := time.Now()
@@ -728,84 +728,8 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 				return d
 			}
 		}
-		if e.incrementalEligible(ps) {
-			// Counting-only fast path: decide from engine counters in
-			// O(|C|), no history scan (see incremental.go).
-			esp, _ := t.StartSpan(tc, "prefix_eval")
-			esp.SetService("engine")
-			evalStart := time.Now()
-			d.Spatial = e.evalIncremental(stamped, req.Access)
-			m.prefixEval.ObserveSince(evalStart)
-			esp.SetAttr("path", "incremental")
-			esp.SetAttr("status", d.Spatial.String())
-			esp.Finish()
-			// One walk feeds both aggregations when coverage and cost
-			// are on together (the production default).
-			switch {
-			case e.covEnabled.Load():
-				if e.costEnabled.Load() {
-					e.coverCostIncremental(perm.ID, ps.Spatial, stamped, req.Access)
-				} else {
-					e.coverIncremental(perm.ID, ps.Spatial, stamped, req.Access)
-				}
-			case e.costEnabled.Load():
-				e.costIncremental(perm.ID, ps.Spatial, stamped, req.Access)
-			}
-			if d.Spatial == srac.Violated {
-				d.Deny = DenySpatialViolated
-				d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, e.attributeIncremental(stamped, req.Access))
-				return d
-			}
-			if ps.Mode == Strict && d.Spatial != srac.Satisfied {
-				d.Deny = DenySpatialStrict
-				d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, e.attributeIncremental(stamped, req.Access))
-				return d
-			}
-		} else {
-			// Prefix evaluation of the post-state: the requested access
-			// is hypothetically performed and proven.
-			hyp := req.History.Concat(trace.Trace{req.Access})
-			oracle := srac.HypotheticalOracle(req.Proofs, req.Access)
-			esp, _ := t.StartSpan(tc, "prefix_eval")
-			esp.SetService("engine")
-			evalStart := time.Now()
-			d.Spatial = srac.EvalPrefix(hyp, stamped, oracle)
-			strictOK := d.Spatial != srac.Violated &&
-				(ps.Mode != Strict || srac.SatisfiesTrace(hyp, stamped, oracle))
-			m.prefixEval.ObserveSince(evalStart)
-			esp.SetAttr("path", "scan")
-			esp.SetAttr("status", d.Spatial.String())
-			esp.SetAttr("history_len", strconv.Itoa(len(hyp)))
-			esp.Finish()
-			switch {
-			case e.covEnabled.Load():
-				if e.costEnabled.Load() {
-					e.coverCostScan(perm.ID, ps.Spatial, stamped, hyp, oracle)
-				} else {
-					e.coverScan(perm.ID, ps.Spatial, stamped, hyp, oracle)
-				}
-			case e.costEnabled.Load():
-				e.costScan(perm.ID, ps.Spatial, stamped, hyp, oracle)
-			}
-			if d.Spatial == srac.Violated {
-				d.Deny = DenySpatialViolated
-				d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
-				return d
-			}
-			if !strictOK {
-				d.Spatial = srac.Pending
-				d.Deny = DenySpatialStrict
-				d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
-				return d
-			}
+		if !e.decideSpatial(tc, t, m, req, ps, &d) {
+			return d
 		}
 	}
 
@@ -848,6 +772,77 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 
 	d.Granted = true
 	return d
+}
+
+// decideSpatial is the prefix evaluation of the post-state — the
+// requested access hypothetically performed and proven — as ONE walk
+// of the policy's constraint, bound to the requesting object by its
+// leaves: engine counters on the counting-only fast path (see
+// incremental.go), a scan of the carried history otherwise. The walk
+// yields the verdict, the Definition 3.6 truth Strict mode gates on,
+// and the per-node record coverage and cost fold in; a denial
+// additionally renders just the attributed clause. It reports whether
+// the spatial check passed, filling d's denial fields when not.
+func (e *Engine) decideSpatial(tc obs.TraceContext, t *obs.Tracer, m *engineMetrics, req Request, ps PermSpec, d *Decision) bool {
+	obj := req.Access.Object
+	fold := e.startFold()
+	var sink *srac.Sink
+	if fold != nil {
+		sink = &fold.sink
+	}
+	denied := func(a srac.Attribution) bool {
+		return a.Status == srac.Violated || (ps.Mode == Strict && !a.Holds)
+	}
+	esp, _ := t.StartSpan(tc, "prefix_eval")
+	esp.SetService("engine")
+	evalStart := time.Now()
+	var leaves srac.Leaves
+	histLen := -1
+	unlock := func() {}
+	if e.incrementalEligible(ps) {
+		leaves = counterLeaves{e: e, self: []model.ObjectID{obj}, hyp: req.Access}
+		// The read lock spans the walk and any denial render, so both
+		// see one counter snapshot; it is released before the fold.
+		e.cntMu.RLock()
+		unlock = e.cntMu.RUnlock
+	} else {
+		hyp := req.History.Concat(trace.Trace{req.Access})
+		leaves = srac.ScanAs(hyp, srac.HypotheticalOracle(req.Proofs, req.Access), obj)
+		histLen = len(hyp)
+	}
+	var why srac.Attribution
+	a := srac.EvalWith(ps.Spatial, leaves, sink)
+	if denied(a) {
+		why = srac.ExplainWith(srac.StampObject(a.Clause, obj), leaves)
+	}
+	unlock()
+	m.prefixEval.ObserveSince(evalStart)
+	path := "scan"
+	if histLen < 0 {
+		path = "incremental"
+	}
+	esp.SetAttr("path", path)
+	esp.SetAttr("status", a.Status.String())
+	if histLen >= 0 {
+		esp.SetAttr("history_len", strconv.Itoa(histLen))
+	}
+	esp.Finish()
+	e.finishFold(fold, ps.Perm.ID, ps.Spatial, histLen)
+
+	d.Spatial = a.Status
+	if !denied(a) {
+		return true
+	}
+	// Satisfied implies Holds, so a Strict-mode denial is Pending.
+	if a.Status == srac.Violated {
+		d.Deny = DenySpatialViolated
+		d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated", srac.String(ps.Spatial))
+	} else {
+		d.Deny = DenySpatialStrict
+		d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)", srac.String(ps.Spatial))
+	}
+	d.Explanation = spatialExplanation(ps.Spatial, why)
+	return false
 }
 
 // trackerFor resolves the tracker currently governing a permission for

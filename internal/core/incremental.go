@@ -21,6 +21,11 @@ import (
 // constructed histories must stay on the scan path. Constraints with
 // atoms or orderings always use the scan path; only counting-only
 // constraints take the fast path.
+//
+// The counter path is not a second evaluator: it runs the one srac
+// prefix walk (srac.EvalWith) with counterLeaves in place of a history
+// scan, so its verdicts, Strict-mode gate, explanations, coverage and
+// cost follow the scan path's by construction.
 
 // countingOnly reports whether the constraint is built exclusively
 // from T, F, counting atoms and boolean connectives.
@@ -99,9 +104,10 @@ func (e *Engine) registerSelectorsLocked(ps PermSpec) {
 //
 // Counters are keyed by the canonical selector string. For a policy
 // selector without an object restriction, the per-requester variant
-// (the shape StampObject produces at check time) is maintained
-// alongside the global one; selectors that already restrict objects
-// count all matching accesses, mirroring the ledger-backed scan path.
+// (the selector restricted to the accessing object, which
+// counterLeaves reads) is maintained alongside the global one;
+// selectors that already restrict objects count all matching
+// accesses, mirroring the ledger-backed scan path.
 func (e *Engine) RecordGrant(a model.Access) {
 	e.recordGrantEvent(a)
 	if col := e.costC.Load(); col != nil {
@@ -128,111 +134,31 @@ func (e *Engine) RecordGrant(a model.Access) {
 	}
 }
 
-// countForLocked returns the recorded count for the (already stamped)
-// selector; e.cntMu must be held (read or write).
-func (e *Engine) countForLocked(sel model.Selector) int {
-	return e.counters[selKey(sel)]
+// counterLeaves decides counting atoms from the engine counters plus
+// the hypothetical requested access. An objectless selector reads the
+// requester's own counter — the per-object variant RecordGrant keeps
+// alongside the global one — so the walk binds the requester without
+// stamping the constraint. e.cntMu must be held for reading across the
+// walk, so one decision sees one counter snapshot.
+type counterLeaves struct {
+	e    *Engine
+	self []model.ObjectID
+	hyp  model.Access
 }
 
-// evalIncremental decides a counting-only constraint against the
-// engine counters plus the hypothetical requested access, mirroring
-// srac.EvalPrefixStable's three-valued semantics (including the
-// stability-aware negation). The read lock is held across the whole
-// walk, so the decision sees an atomic counter snapshot relative to
-// RecordGrant — but concurrent decisions share the lock and never
-// serialize against each other.
-func (e *Engine) evalIncremental(c srac.Constraint, hyp model.Access) srac.Status {
-	e.cntMu.RLock()
-	defer e.cntMu.RUnlock()
-	s, _ := e.evalIncrementalLocked(c, hyp)
-	return s
-}
+// Match reports no witness: counting-only constraints have no atoms or
+// orderings (incrementalEligible).
+func (counterLeaves) Match(model.Access, int) int { return -1 }
 
-func (e *Engine) evalIncrementalLocked(c srac.Constraint, hyp model.Access) (srac.Status, bool) {
-	switch x := c.(type) {
-	case srac.TrueC:
-		return srac.Satisfied, true
-	case srac.FalseC:
-		return srac.Violated, true
-	case srac.Count:
-		n := e.countForLocked(x.Sel)
-		if x.Sel.SelectAccess(hyp) {
-			n++
-		}
-		switch {
-		case n > x.Max:
-			return srac.Violated, true
-		case n >= x.Min:
-			// Mirrors srac.evalPrefix: future grants only grow the
-			// count, so satisfaction is stable iff there is no ceiling.
-			return srac.Satisfied, x.Max == srac.Unbounded
-		default:
-			return srac.Pending, false
-		}
-	case srac.And:
-		l, lst := e.evalIncrementalLocked(x.Left, hyp)
-		r, rst := e.evalIncrementalLocked(x.Right, hyp)
-		switch {
-		case l == srac.Violated || r == srac.Violated:
-			return srac.Violated, true
-		case l == srac.Satisfied && r == srac.Satisfied:
-			return srac.Satisfied, lst && rst
-		default:
-			return srac.Pending, false
-		}
-	case srac.Or:
-		l, lst := e.evalIncrementalLocked(x.Left, hyp)
-		r, rst := e.evalIncrementalLocked(x.Right, hyp)
-		switch {
-		case l == srac.Satisfied || r == srac.Satisfied:
-			return srac.Satisfied, (l == srac.Satisfied && lst) || (r == srac.Satisfied && rst)
-		case l == srac.Violated && r == srac.Violated:
-			return srac.Violated, true
-		default:
-			return srac.Pending, false
-		}
-	case srac.Not:
-		return srac.NegateStable(e.evalIncrementalLocked(x.C, hyp))
+func (l counterLeaves) Count(sel model.Selector) int {
+	if len(sel.Objects) == 0 {
+		sel.Objects = l.self
 	}
-	return srac.Pending, false
-}
-
-// attributeIncremental explains a counting-only constraint's status
-// from the engine counters plus the hypothetical requested access —
-// the attribution counterpart of evalIncremental, sharing its leaf
-// semantics through srac.CountLeafEval so the two verdicts agree.
-func (e *Engine) attributeIncremental(c srac.Constraint, hyp model.Access) srac.Attribution {
-	e.cntMu.RLock()
-	defer e.cntMu.RUnlock()
-	count := func(x srac.Count) int {
-		n := e.countForLocked(x.Sel)
-		if x.Sel.SelectAccess(hyp) {
-			n++
-		}
-		return n
+	n := l.e.counters[selKey(sel)]
+	if sel.SelectAccess(l.hyp) {
+		n++
 	}
-	a := srac.AttributeWith(c, srac.CountLeafEval(count))
-	if a.Clause != nil && len(a.Counts) > 0 {
-		// Fill the observed counts of the attributed clause from the
-		// same counter reads the verdict used.
-		a.Counts = a.Counts[:0]
-		srac.Walk(a.Clause, func(x srac.Constraint) bool {
-			if cnt, ok := x.(srac.Count); ok {
-				max := cnt.Max
-				if max == srac.Unbounded {
-					max = -1
-				}
-				a.Counts = append(a.Counts, srac.CountWindow{
-					Selector: cnt.Sel.String(),
-					Min:      cnt.Min,
-					Max:      max,
-					Observed: count(cnt),
-				})
-			}
-			return true
-		})
-	}
-	return a
+	return n
 }
 
 // incrementalEligible reports whether the request can take the counter

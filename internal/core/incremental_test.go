@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"stac/internal/model"
@@ -137,53 +138,71 @@ func TestEnableAfterDefineRegistersSelectors(t *testing.T) {
 	}
 }
 
-// Equivalence property: for random counting-only constraints and
-// random grant sequences, the incremental decision equals the
-// scan-path decision at every step.
+// Equivalence property: for random counting-only constraints, random
+// grant sequences and both enforcement modes, the incremental decision
+// equals the scan-path decision at every step — verdict, denial kind
+// and explanation. The hand-written constraint first in the corpus is
+// ¬#(3,5,σ[r=rsw]): on the first access its count is below the floor,
+// so the negation holds on the post-state (Definition 3.6) while its
+// prefix status is only Pending, and Strict mode must grant on both
+// paths.
 func TestIncrementalEquivalentToScan(t *testing.T) {
 	r := rand.New(rand.NewSource(107))
 	resources := []model.ResourceID{"f1", "f2", "rsw"}
 	ops := []model.Operation{"read", "execute"}
-	for trial := 0; trial < 60; trial++ {
-		// Random counting-only constraint.
-		cons := randomCountingConstraint(r, 2, resources, ops)
-
-		mk := func(incremental bool) (*Engine, *rbac.Session) {
-			e := NewEngine(temporal.NewSimClock(0))
-			if incremental {
-				e.EnableIncrementalCounting()
+	for _, mode := range []SpatialMode{Admissible, Strict} {
+		for trial := 0; trial < 60; trial++ {
+			// Random counting-only constraint.
+			cons := randomCountingConstraint(r, 2, resources, ops)
+			if trial == 0 {
+				cons = srac.MustParse("not count(3, 5, sigma[r=rsw])")
 			}
-			must := func(err error) {
-				if err != nil {
-					t.Fatal(err)
+
+			mk := func(incremental bool) (*Engine, *rbac.Session) {
+				e := NewEngine(temporal.NewSimClock(0))
+				if incremental {
+					e.EnableIncrementalCounting()
 				}
+				must := func(err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				must(e.RBAC.AddUser("o1"))
+				must(e.RBAC.AddRole("r"))
+				must(e.DefinePermission(PermSpec{Perm: rbac.Permission{ID: "p"}, Spatial: cons, Mode: mode}))
+				must(e.RBAC.GrantPermission("r", "p"))
+				must(e.RBAC.AssignUserRole("o1", "r"))
+				sess, err := e.RBAC.CreateSession("o1")
+				must(err)
+				must(sess.ActivateRole("r"))
+				return e, sess
 			}
-			must(e.RBAC.AddUser("o1"))
-			must(e.RBAC.AddRole("r"))
-			must(e.DefinePermission(PermSpec{Perm: rbac.Permission{ID: "p"}, Spatial: cons}))
-			must(e.RBAC.GrantPermission("r", "p"))
-			must(e.RBAC.AssignUserRole("o1", "r"))
-			sess, err := e.RBAC.CreateSession("o1")
-			must(err)
-			must(sess.ActivateRole("r"))
-			return e, sess
-		}
-		inc, incSess := mk(true)
-		scan, scanSess := mk(false)
+			inc, incSess := mk(true)
+			scan, scanSess := mk(false)
 
-		var history trace.Trace
-		for step := 0; step < 12; step++ {
-			a := model.NewAccess("o1", ops[r.Intn(len(ops))],
-				resources[r.Intn(len(resources))], "s1")
-			di := inc.Authorize(Request{Session: incSess, Access: a})
-			ds := scan.Authorize(Request{Session: scanSess, Access: a, History: history})
-			if di.Granted != ds.Granted {
-				t.Fatalf("trial %d step %d: incremental=%v scan=%v\nconstraint: %s\nhistory: %v\naccess: %v",
-					trial, step, di.Granted, ds.Granted, srac.String(cons), history, a)
-			}
-			if di.Granted {
-				inc.RecordGrant(a)
-				history = append(history, a)
+			var history trace.Trace
+			for step := 0; step < 12; step++ {
+				a := model.NewAccess("o1", ops[r.Intn(len(ops))],
+					resources[r.Intn(len(resources))], "s1")
+				if trial == 0 {
+					a = model.NewAccess("o1", "execute", "rsw", "s1")
+				}
+				di := inc.Authorize(Request{Session: incSess, Access: a})
+				ds := scan.Authorize(Request{Session: scanSess, Access: a, History: history})
+				if di.Granted != ds.Granted || di.Deny != ds.Deny || di.Spatial != ds.Spatial ||
+					!reflect.DeepEqual(di.Explanation, ds.Explanation) {
+					t.Fatalf("mode %s trial %d step %d: incremental=%v/%s/%s scan=%v/%s/%s\nconstraint: %s\nhistory: %v\naccess: %v\nexplanations:\n %s\n %s",
+						mode, trial, step, di.Granted, di.Deny, di.Spatial, ds.Granted, ds.Deny, ds.Spatial,
+						srac.String(cons), history, a, di.Explanation, ds.Explanation)
+				}
+				if trial == 0 && step == 0 && !di.Granted {
+					t.Fatalf("mode %s: first access under %s denied: %s", mode, srac.String(cons), di)
+				}
+				if di.Granted {
+					inc.RecordGrant(a)
+					history = append(history, a)
+				}
 			}
 		}
 	}

@@ -8,8 +8,7 @@
 // that product lands; this package can. A Collector aggregates, per
 // (permission, clause-path) — the same identity the attribution and
 // coverage layers key on — how often each clause was evaluated, how
-// many leaf evaluations (atoms) its subtree performed, how many
-// allocating count-window merges it triggered, and a 1-in-64
+// many leaf evaluations (atoms) its subtree performed, and a 1-in-64
 // deterministically sampled cumulative wall-clock time. On top it
 // keeps two whole-engine gauges: re-walk amplification (prefix evals
 // and history entries walked per appended access — the history-length
@@ -48,7 +47,6 @@ type NodeSample struct {
 	Path     string
 	Decisive bool
 	Atoms    int
-	Merges   int
 	// NS is the subtree wall time of this evaluation; only meaningful
 	// when the evaluation was sampled for timing.
 	NS int64
@@ -59,7 +57,6 @@ type cell struct {
 	evals        int64
 	decisive     int64
 	atoms        int64
-	merges       int64
 	sampledEvals int64
 	sampledNS    int64
 }
@@ -230,7 +227,6 @@ func (c *Collector) Record(perm string, sampled bool, nodes []NodeSample, clause
 		cl := p.at(n.Path, &from, clauseAt)
 		cl.evals++
 		cl.atoms += int64(n.Atoms)
-		cl.merges += int64(n.Merges)
 		if n.Decisive {
 			cl.decisive++
 		}
@@ -289,9 +285,8 @@ type ClauseCost struct {
 	Evals    int64 `json:"evals"`
 	Decisive int64 `json:"decisive"`
 	// Atoms is the cumulative leaf-evaluation count of the clause's
-	// subtree; Merges the cumulative allocating count-window merges.
-	Atoms  int64 `json:"atoms"`
-	Merges int64 `json:"merges,omitempty"`
+	// subtree.
+	Atoms int64 `json:"atoms"`
 	// SampledNS is cumulative subtree wall time over the SampledEvals
 	// evaluations that carried timing (1 in 64, deterministic);
 	// MeanNS is their ratio — the estimated cost of one evaluation of
@@ -354,7 +349,7 @@ func (c *Collector) Report() Report {
 				cc := ClauseCost{
 					Perm: perm, Path: e.path, Clause: cl.clause,
 					Evals: cl.evals, Decisive: cl.decisive,
-					Atoms: cl.atoms, Merges: cl.merges,
+					Atoms:        cl.atoms,
 					SampledEvals: cl.sampledEvals, SampledNS: cl.sampledNS,
 				}
 				if cc.SampledEvals > 0 {

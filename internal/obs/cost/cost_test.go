@@ -37,7 +37,7 @@ func TestRecordAggregatesPerClause(t *testing.T) {
 	c.Record("read-f", true, []NodeSample{
 		{Path: "", Decisive: false, Atoms: 2, NS: 300},
 		{Path: "l", Decisive: true, Atoms: 1, NS: 200},
-		{Path: "r", Atoms: 1, Merges: 1, NS: 100},
+		{Path: "r", Atoms: 1, NS: 100},
 	}, nil)
 	c.Record("read-f", false, []NodeSample{
 		{Path: "", Decisive: true, Atoms: 1},
@@ -64,7 +64,7 @@ func TestRecordAggregatesPerClause(t *testing.T) {
 		t.Fatalf("l = %+v", l)
 	}
 	r := by["r"]
-	if r.Evals != 1 || r.Merges != 1 || r.Decisive != 0 {
+	if r.Evals != 1 || r.Atoms != 1 || r.Decisive != 0 {
 		t.Fatalf("r = %+v", r)
 	}
 }

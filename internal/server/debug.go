@@ -209,7 +209,7 @@ func (h *DebugServer) handleCoverage(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCost serves the per-clause evaluation-cost profile: clause
-// heat (evals, atoms, merges, sampled ns), the per-(program, policy)
+// heat (evals, atoms, sampled ns), the per-(program, policy)
 // static-check cost table and the re-walk amplification gauges — the
 // measured before-picture for the SRAC compilation arc.
 func (h *DebugServer) handleCost(w http.ResponseWriter, r *http.Request) {

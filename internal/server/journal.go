@@ -200,20 +200,27 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
+	// A cursor beyond the recorder's total is from a previous daemon
+	// incarnation (restart reset the recorder): clamp to the live
+	// tail rather than stalling the follower forever. The clamp
+	// precedes open(): once the tail is visible as active, a record
+	// may land at any moment, and a clamp taken after it would skip
+	// that record.
+	if st := rec.Status(); cursor > st.Total {
+		cursor = st.Total
+	}
 	id := h.journal.open()
-	defer h.journal.close(id)
+	active := true
+	defer func() {
+		if active {
+			h.journal.close(id)
+		}
+	}()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	fmt.Fprintf(w, ": stac journal schema v%d\n\n", record.SchemaVersion)
-
-	// A cursor beyond the recorder's total is from a previous daemon
-	// incarnation (restart reset the recorder): clamp to the live
-	// tail rather than stalling the follower forever.
-	if st := rec.Status(); cursor > st.Total {
-		cursor = st.Total
-	}
 
 	meta := func(kind string) {
 		st := rec.Status()
@@ -253,9 +260,12 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 			streamed++
 			h.journal.records.Inc()
 			if max > 0 && streamed >= max {
+				// Retire the tail before its end frame: a follower that
+				// has read "end" no longer counts as active.
+				active = false
+				h.journal.close(id)
 				meta(journal.KindEnd)
 				fl.Flush()
-				h.journal.observe(id, lagBehind(total, cursor))
 				return
 			}
 		}

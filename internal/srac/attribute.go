@@ -2,18 +2,18 @@ package srac
 
 // Violation attribution: given the three-valued prefix status of a
 // constraint, pinpoint the subformula responsible for it. Aggregate
-// enforcement (PR 2's counters) can say *that* a denial happened;
+// enforcement counters can say *that* a denial happened;
 // attribution says *which* clause of the policy made it irreversible —
 // the property Combi et al. argue temporal-constraint systems need to
 // be trustworthy at all.
 //
-// Attribute must agree with EvalPrefixStable exactly: its Status and
-// Stable fields are defined to equal the engine's verdict, and the
-// equivalence is property-tested over a formula corpus. The clause it
-// reports is a genuine witness — for a Violated conjunction it is the
-// violated conjunct (recursively), for a Violated disjunction both
-// disjuncts are dead so the disjunction itself is reported, and for a
-// negation the blame lies with the stably satisfied operand.
+// Attribution is produced by the prefix walk itself (walk.go), so its
+// Status and Stable are the enforcement verdict by construction. The
+// clause it reports is a genuine witness — for a Violated conjunction
+// it is the violated conjunct (recursively), for a Violated
+// disjunction both disjuncts are dead so the disjunction itself is
+// reported, and for a negation the blame lies with the stably
+// satisfied operand.
 
 import (
 	"fmt"
@@ -44,19 +44,25 @@ func (cw CountWindow) String() string {
 
 // Attribution is the explained outcome of a prefix evaluation.
 type Attribution struct {
-	// Status and Stable equal EvalPrefixStable's verdict on the whole
+	// Status and Stable are EvalPrefixStable's verdict on the whole
 	// constraint.
 	Status Status
 	Stable bool
+	// Holds is the Definition 3.6 truth of the whole constraint
+	// (SatisfiesTrace) — what Strict-mode enforcement gates on.
+	// Satisfied implies Holds and Violated implies not Holds.
+	Holds bool
 	// Clause is the subformula the verdict is attributed to: for
 	// Violated, the smallest subformula whose violation forces the
 	// whole constraint's; for Satisfied, a witness subformula; for
 	// Pending, the subformula still awaited.
 	Clause Constraint
-	// Detail is a one-line human reading of why Clause has its status.
+	// Detail is a one-line human reading of why Clause has its status
+	// (set by ExplainWith only).
 	Detail string
 	// Counts is the window state of every counting atom inside Clause,
-	// so a count-driven denial carries its [m,n] numbers.
+	// so a count-driven denial carries its [m,n] numbers (set by
+	// ExplainWith only).
 	Counts []CountWindow
 }
 
@@ -69,217 +75,11 @@ func (a Attribution) ClauseString() string {
 	return String(a.Clause)
 }
 
-// LeafEval evaluates one leaf construct (TrueC, FalseC, Atom, Ordered,
-// Count) and describes the outcome. It lets AttributeWith mirror
-// either evaluation mode: the trace-scan leaves of EvalPrefix or the
-// engine's incremental counters.
-type LeafEval func(c Constraint) (status Status, stable bool, detail string)
-
-// mergeCounts combines the observed count windows of two subresults
-// (attribution and coverage share it). Constraints without counting
-// atoms — the common case — merge empty against empty, which costs no
-// allocation; a fresh slice is only built when either side observed
-// windows, so neither input is ever aliased or mutated.
-func mergeCounts(l, r []CountWindow) []CountWindow {
-	if len(l) == 0 && len(r) == 0 {
-		return nil
-	}
-	out := make([]CountWindow, 0, len(l)+len(r))
-	return append(append(out, l...), r...)
-}
-
-// AttributeWith explains a constraint's prefix status using the given
-// leaf evaluator for the atomic constructs. The connective logic is a
-// transcription of evalPrefix, so (Status, Stable) match it exactly.
-func AttributeWith(c Constraint, leaf LeafEval) Attribution {
-	switch x := c.(type) {
-	case And:
-		l := AttributeWith(x.Left, leaf)
-		r := AttributeWith(x.Right, leaf)
-		switch {
-		case l.Status == Violated:
-			return l
-		case r.Status == Violated:
-			return r
-		case l.Status == Satisfied && r.Status == Satisfied:
-			return Attribution{
-				Status: Satisfied, Stable: l.Stable && r.Stable,
-				Clause: c, Detail: "both conjuncts satisfied",
-				Counts: mergeCounts(l.Counts, r.Counts),
-			}
-		case l.Status == Pending:
-			l.Status = Pending
-			l.Stable = false
-			return l
-		default:
-			r.Status = Pending
-			r.Stable = false
-			return r
-		}
-	case Or:
-		l := AttributeWith(x.Left, leaf)
-		r := AttributeWith(x.Right, leaf)
-		switch {
-		// Prefer a stably satisfied disjunct so Stable matches
-		// evalPrefix's (l==Sat&&lst) || (r==Sat&&rst).
-		case l.Status == Satisfied && l.Stable:
-			return l
-		case r.Status == Satisfied && r.Stable:
-			return r
-		case l.Status == Satisfied:
-			return l
-		case r.Status == Satisfied:
-			return r
-		case l.Status == Violated && r.Status == Violated:
-			// Both alternatives are dead: the disjunction as a whole is
-			// the violated clause.
-			return Attribution{
-				Status: Violated, Stable: true, Clause: c,
-				Detail: fmt.Sprintf("both alternatives violated: %s; %s", l.Detail, r.Detail),
-				Counts: mergeCounts(l.Counts, r.Counts),
-			}
-		case l.Status == Pending:
-			l.Status = Pending
-			l.Stable = false
-			return l
-		default:
-			r.Status = Pending
-			r.Stable = false
-			return r
-		}
-	case Not:
-		in := AttributeWith(x.C, leaf)
-		st, stable := NegateStable(in.Status, in.Stable)
-		out := Attribution{Status: st, Stable: stable, Clause: c, Counts: in.Counts}
-		switch st {
-		case Violated:
-			// ¬C is irreversibly violated because C is stably satisfied;
-			// blame the negation but carry the inner witness.
-			out.Detail = fmt.Sprintf("negated subformula stably satisfied (%s)", in.Detail)
-		case Satisfied:
-			out.Detail = fmt.Sprintf("negated subformula violated (%s)", in.Detail)
-		default:
-			if in.Status == Satisfied {
-				out.Detail = fmt.Sprintf("negated subformula satisfied but not stably (%s)", in.Detail)
-			} else {
-				out.Detail = fmt.Sprintf("negated subformula still pending (%s)", in.Detail)
-			}
-		}
-		return out
-	default:
-		st, stable, detail := leaf(c)
-		a := Attribution{Status: st, Stable: stable, Clause: c, Detail: detail}
-		if cnt, ok := c.(Count); ok {
-			max := cnt.Max
-			if max == Unbounded {
-				max = -1
-			}
-			a.Counts = []CountWindow{{Selector: cnt.Sel.String(), Min: cnt.Min, Max: max, Observed: -1}}
-		}
-		return a
-	}
-}
-
 // Attribute explains the prefix status of c over the history t — the
 // attribution counterpart of EvalPrefixStable, with identical Status
 // and Stable.
 func Attribute(t trace.Trace, c Constraint, pr ProofOracle) Attribution {
-	return AttributeWith(c, TraceLeafEval(t, pr)).withObserved(t, pr)
-}
-
-// countLeafStatus is the detail-free verdict for a counting atom
-// given its observed proof-backed count — the cost walk's leaf
-// evaluators use it directly so sampled timings don't pay for
-// explanation formatting.
-func countLeafStatus(x Count, n int) (Status, bool) {
-	switch {
-	case n > x.Max:
-		return Violated, true
-	case n >= x.Min:
-		if x.Max == Unbounded {
-			return Satisfied, true
-		}
-		return Satisfied, false
-	default:
-		return Pending, false
-	}
-}
-
-// countLeaf is the shared leaf verdict for a counting atom given its
-// observed proof-backed count — used by both the trace-scan
-// attribution here and the engine's incremental-counter attribution.
-func countLeaf(x Count, n int) (Status, bool, string) {
-	switch st, _ := countLeafStatus(x, n); {
-	case st == Violated:
-		return Violated, true,
-			fmt.Sprintf("count %d exceeds ceiling %d of window [%d,%d] for %s",
-				n, x.Max, x.Min, x.Max, x.Sel)
-	case st == Satisfied:
-		if x.Max == Unbounded {
-			return Satisfied, true,
-				fmt.Sprintf("count %d meets floor %d (no ceiling) for %s", n, x.Min, x.Sel)
-		}
-		return Satisfied, false,
-			fmt.Sprintf("count %d within window [%d,%d] for %s (extensions may exceed it)",
-				n, x.Min, x.Max, x.Sel)
-	default:
-		return Pending, false,
-			fmt.Sprintf("count %d below floor %d of window [%d,%d] for %s",
-				n, x.Min, x.Min, x.Max, x.Sel)
-	}
-}
-
-// CountLeafEval adapts a counting function (selector → observed count)
-// into a LeafEval for formulas whose leaves are all counting atoms —
-// the engine's incremental evaluation path.
-func CountLeafEval(count func(Count) int) LeafEval {
-	return func(leaf Constraint) (Status, bool, string) {
-		switch x := leaf.(type) {
-		case TrueC:
-			return Satisfied, true, "constant T"
-		case FalseC:
-			return Violated, true, "constant F"
-		case Count:
-			return countLeaf(x, count(x))
-		}
-		return Pending, false, fmt.Sprintf("non-counting leaf %T outside incremental mode", leaf)
-	}
-}
-
-// withObserved fills in the Observed field of every count window by
-// re-counting against the history (the leaf path records the window
-// but not the count, which only the leaf detail carries).
-func (a Attribution) withObserved(t trace.Trace, pr ProofOracle) Attribution {
-	if len(a.Counts) == 0 || a.Clause == nil {
-		return a
-	}
-	a.Counts = CollectCounts(t, a.Clause, pr)
-	return a
-}
-
-// CollectCounts returns the window state of every counting atom inside
-// c, in pre-order, counted against the history t.
-func CollectCounts(t trace.Trace, c Constraint, pr ProofOracle) []CountWindow {
-	if pr == nil {
-		pr = AllProven
-	}
-	var out []CountWindow
-	Walk(c, func(x Constraint) bool {
-		if cnt, ok := x.(Count); ok {
-			max := cnt.Max
-			if max == Unbounded {
-				max = -1
-			}
-			out = append(out, CountWindow{
-				Selector: cnt.Sel.String(),
-				Min:      cnt.Min,
-				Max:      max,
-				Observed: countProven(t, cnt.Sel, pr),
-			})
-		}
-		return true
-	})
-	return out
+	return ExplainWith(c, Scan(t, pr))
 }
 
 // Summary renders the attribution on one line, e.g.

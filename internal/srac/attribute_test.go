@@ -2,6 +2,7 @@ package srac
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,8 +172,8 @@ func TestAttributeSatisfiedAndPending(t *testing.T) {
 }
 
 func TestCountLeafEvalMatchesTraceScan(t *testing.T) {
-	// The incremental-counter leaf evaluator agrees with the trace-scan
-	// attribution on pure counting formulas.
+	// Counter leaves agree with the trace-scan attribution on pure
+	// counting formulas, windows included.
 	r := rand.New(rand.NewSource(43))
 	sel := model.Selector{Ops: []model.Operation{"read"}}
 	read := model.NewAccess("", "read", "f1", "s1")
@@ -195,8 +196,9 @@ func TestCountLeafEvalMatchesTraceScan(t *testing.T) {
 		}
 		c := And{Left: Count{Min: lo, Max: max, Sel: sel}, Right: TrueC{}}
 		scan := Attribute(hist, c, nil)
-		incr := AttributeWith(c, CountLeafEval(func(Count) int { return reads }))
-		if scan.Status != incr.Status || scan.Stable != incr.Stable || scan.Detail != incr.Detail {
+		incr := ExplainWith(c, counted(func(model.Selector) int { return reads }))
+		if scan.Status != incr.Status || scan.Stable != incr.Stable || scan.Detail != incr.Detail ||
+			!reflect.DeepEqual(scan.Counts, incr.Counts) {
 			t.Fatalf("incremental diverges from scan:\nC %s hist %v\nscan (%s,%v) %q\nincr (%s,%v) %q",
 				String(c), hist, scan.Status, scan.Stable, scan.Detail, incr.Status, incr.Stable, incr.Detail)
 		}

@@ -7,54 +7,9 @@ package srac
 // clauses are candidates for tightening or deletion, and a clause
 // that is never decisive cannot be blamed for any denial.
 //
-// Cover is the coverage counterpart of AttributeWith: it projects
-// CoverCost (cost.go), whose recursion is the same transcription of
-// evalPrefix, so the (Status, Stable) it reports for the root — and
-// for every interior node — equal the engine's verdict on that
-// subformula. The equivalence with AttributeWith is property-tested
-// over a formula corpus.
-
-import (
-	"fmt"
-
-	"stac/internal/trace"
-)
-
-// NodeCoverage is one subformula's outcome in a single prefix
-// evaluation, addressed by its path from the root: "" is the root,
-// then one letter per step — 'l'/'r' into a conjunction or
-// disjunction, 'n' under a negation. Paths are stable across
-// evaluations of the same constraint, so they key aggregation.
-type NodeCoverage struct {
-	Path   string
-	Status Status
-	Stable bool
-	// Decisive marks the node the whole-constraint verdict is
-	// attributed to (AttributeWith's Clause); exactly one node per
-	// evaluation is decisive.
-	Decisive bool
-}
-
-// Cover evaluates the constraint with the given leaf evaluator and
-// returns per-node coverage (pre-order left-to-right by path) plus
-// the root attribution, which equals AttributeWith(c, leaf) field for
-// field. It is a projection of CoverCost (untimed): both walks share
-// one recursion, so coverage and cost profiles can never drift apart.
-func Cover(c Constraint, leaf LeafEval) ([]NodeCoverage, Attribution) {
-	nodes, a := CoverCost(c, leaf, false)
-	return CoverageOf(nodes), a
-}
-
-// CoverageOf projects a cost walk's nodes down to their coverage view,
-// so an engine running both aggregations pays for one walk and splits
-// the result.
-func CoverageOf(nodes []NodeCost) []NodeCoverage {
-	out := make([]NodeCoverage, len(nodes))
-	for i, n := range nodes {
-		out[i] = NodeCoverage{Path: n.Path, Status: n.Status, Stable: n.Stable, Decisive: n.Decisive}
-	}
-	return out
-}
+// The per-node outcomes come from the prefix walk's Sink (walk.go),
+// so coverage, cost and the verdict are one evaluation. The helpers
+// here address nodes by path.
 
 // WalkPaths visits every node of the constraint tree with its
 // coverage path, pre-order. Aggregators use it to pre-seed cells so
@@ -111,39 +66,4 @@ func SubclauseAt(c Constraint, path string) (Constraint, bool) {
 		}
 	}
 	return c, true
-}
-
-// TraceLeafEval is the trace-scan leaf evaluator Attribute uses:
-// leaves are decided against the proof-backed history t. Exposed so
-// Cover can run the scan path with the engine's exact leaf semantics.
-func TraceLeafEval(t trace.Trace, pr ProofOracle) LeafEval {
-	if pr == nil {
-		pr = AllProven
-	}
-	return func(leaf Constraint) (Status, bool, string) {
-		switch x := leaf.(type) {
-		case TrueC:
-			return Satisfied, true, "constant T"
-		case FalseC:
-			return Violated, true, "constant F"
-		case Atom:
-			if i := firstMatch(t, x.A, 0, pr); i >= 0 {
-				return Satisfied, true, fmt.Sprintf("witnessed at history position %d", i)
-			}
-			return Pending, false, "no proof-backed occurrence yet"
-		case Ordered:
-			i := firstMatch(t, x.First, 0, pr)
-			if i < 0 {
-				return Pending, false, "first access not yet witnessed"
-			}
-			if j := firstMatch(t, x.Second, i+1, pr); j >= 0 {
-				return Satisfied, true, fmt.Sprintf("witnessed in order at positions %d and %d", i, j)
-			}
-			return Pending, false, fmt.Sprintf("first access witnessed at position %d, second still pending", i)
-		case Count:
-			n := countProven(t, x.Sel, pr)
-			return countLeaf(x, n)
-		}
-		return Pending, false, fmt.Sprintf("unknown construct %T", leaf)
-	}
 }

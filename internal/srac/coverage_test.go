@@ -8,10 +8,11 @@ import (
 	"stac/internal/trace"
 )
 
-// Property: Cover's root attribution equals AttributeWith, every
-// node's (Status, Stable) equals EvalPrefixStable on that subformula,
-// exactly one node is decisive, and the decisive node carries the
-// attributed clause — over the full grammar.
+// Property: a recorded walk's root attribution equals Attribute, every
+// node's (Status, Stable) equals EvalPrefixStable on that subformula
+// and its Holds equals SatisfiesTrace, exactly one node is decisive,
+// and the decisive node carries the attributed clause — over the full
+// grammar.
 func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 	r := rand.New(rand.NewSource(211))
 	pool := []model.Access{
@@ -26,19 +27,19 @@ func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 			hist = append(hist, pool[r.Intn(len(pool))])
 		}
 		c := randomFullConstraint(r, 1+r.Intn(3))
-		leaf := TraceLeafEval(hist, nil)
-		nodes, got := Cover(c, leaf)
-		want := AttributeWith(c, leaf)
-		if got.Status != want.Status || got.Stable != want.Stable ||
-			got.ClauseString() != want.ClauseString() || got.Detail != want.Detail {
-			t.Fatalf("Cover root attribution diverges for %s over %v:\n got (%s, %v) %q — %s\nwant (%s, %v) %q — %s",
-				String(c), hist, got.Status, got.Stable, got.ClauseString(), got.Detail,
-				want.Status, want.Stable, want.ClauseString(), want.Detail)
+		var sink Sink
+		got := EvalWith(c, Scan(hist, nil), &sink)
+		want := Attribute(hist, c, nil)
+		if got.Status != want.Status || got.Stable != want.Stable || got.Holds != want.Holds ||
+			got.ClauseString() != want.ClauseString() {
+			t.Fatalf("walk root attribution diverges for %s over %v:\n got (%s, %v, %v) %s\nwant (%s, %v, %v) %s",
+				String(c), hist, got.Status, got.Stable, got.Holds, got.ClauseString(),
+				want.Status, want.Stable, want.Holds, want.ClauseString())
 		}
 		decisive := 0
-		var decisiveNode NodeCoverage
-		seen := make(map[string]bool, len(nodes))
-		for _, n := range nodes {
+		var decisiveNode NodeCost
+		seen := make(map[string]bool, len(sink.Nodes))
+		for _, n := range sink.Nodes {
 			if seen[n.Path] {
 				t.Fatalf("duplicate path %q for %s", n.Path, String(c))
 			}
@@ -52,6 +53,10 @@ func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 				t.Fatalf("node %q of %s: coverage (%s, %v) != eval (%s, %v)",
 					n.Path, String(c), n.Status, n.Stable, st, stable)
 			}
+			if holds := SatisfiesTrace(hist, sub, nil); n.Holds != holds {
+				t.Fatalf("node %q of %s over %v: holds %v != SatisfiesTrace %v",
+					n.Path, String(c), hist, n.Holds, holds)
+			}
 			if n.Decisive {
 				decisive++
 				decisiveNode = n
@@ -59,7 +64,7 @@ func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 		}
 		if decisive != 1 {
 			t.Fatalf("%d decisive nodes for %s over %v (want exactly 1): %+v",
-				decisive, String(c), hist, nodes)
+				decisive, String(c), hist, sink.Nodes)
 		}
 		sub, _ := SubclauseAt(c, decisiveNode.Path)
 		if String(sub) != want.ClauseString() {
@@ -69,8 +74,8 @@ func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 	}
 }
 
-// WalkPaths must enumerate exactly the paths Cover produces, in
-// pre-order, and SubclauseAt must invert it.
+// WalkPaths must enumerate exactly the paths a recorded walk produces,
+// in the same pre-order, and SubclauseAt must invert it.
 func TestWalkPathsMatchesCover(t *testing.T) {
 	r := rand.New(rand.NewSource(223))
 	for i := 0; i < 300; i++ {
@@ -83,17 +88,14 @@ func TestWalkPathsMatchesCover(t *testing.T) {
 				t.Fatalf("SubclauseAt(%q) = %v/%v, want %s", path, got, ok, String(sub))
 			}
 		})
-		nodes, _ := Cover(c, TraceLeafEval(nil, nil))
-		if len(nodes) != len(walked) {
-			t.Fatalf("Cover has %d nodes, WalkPaths %d for %s", len(nodes), len(walked), String(c))
+		var sink Sink
+		EvalWith(c, Scan(nil, nil), &sink)
+		if len(sink.Nodes) != len(walked) {
+			t.Fatalf("walk recorded %d nodes, WalkPaths %d for %s", len(sink.Nodes), len(walked), String(c))
 		}
-		covered := make(map[string]bool, len(nodes))
-		for _, n := range nodes {
-			covered[n.Path] = true
-		}
-		for _, p := range walked {
-			if !covered[p] {
-				t.Fatalf("WalkPaths path %q missing from Cover for %s", p, String(c))
+		for j, n := range sink.Nodes {
+			if n.Path != walked[j] {
+				t.Fatalf("node %d path %q, WalkPaths %q for %s", j, n.Path, walked[j], String(c))
 			}
 		}
 	}

@@ -43,8 +43,8 @@ var NoneProven ProofOracle = OracleFunc(func(model.Access) bool { return false }
 // object's claimed history is only credible where an execution proof
 // attests it — which is why the atom and ordering cases require
 // Pr(a). We read the counting atom the same way: #(m, n, σ) counts
-// only the σ-selected accesses the oracle attests, through the shared
-// countProven helper used by both SatisfiesTrace and EvalPrefix.
+// only the σ-selected accesses the oracle attests, through the same
+// Scan leaves the prefix walk (EvalPrefix) decides with.
 // Counting raw trace entries would let an unattested (e.g. replayed or
 // fabricated) access consume a ceiling or satisfy a floor that the
 // proof-carrying design says it must not. With the default AllProven
@@ -55,58 +55,31 @@ var NoneProven ProofOracle = OracleFunc(func(model.Access) bool { return false }
 // component matches any access agreeing on the non-empty components.
 // A nil oracle defaults to AllProven.
 func SatisfiesTrace(t trace.Trace, c Constraint, pr ProofOracle) bool {
-	if pr == nil {
-		pr = AllProven
-	}
+	return satisfies(newScan(t, pr, "", false), c)
+}
+
+func satisfies(s *scan, c Constraint) bool {
 	switch x := c.(type) {
 	case TrueC:
 		return true
 	case FalseC:
 		return false
 	case Atom:
-		return firstMatch(t, x.A, 0, pr) >= 0
+		return s.Match(x.A, 0) >= 0
 	case Ordered:
-		i := firstMatch(t, x.First, 0, pr)
-		if i < 0 {
-			return false
-		}
-		return firstMatch(t, x.Second, i+1, pr) >= 0
+		i := s.Match(x.First, 0)
+		return i >= 0 && s.Match(x.Second, i+1) >= 0
 	case Count:
-		n := countProven(t, x.Sel, pr)
+		n := s.Count(x.Sel)
 		return n >= x.Min && n <= x.Max
 	case And:
-		return SatisfiesTrace(t, x.Left, pr) && SatisfiesTrace(t, x.Right, pr)
+		return satisfies(s, x.Left) && satisfies(s, x.Right)
 	case Or:
-		return SatisfiesTrace(t, x.Left, pr) || SatisfiesTrace(t, x.Right, pr)
+		return satisfies(s, x.Left) || satisfies(s, x.Right)
 	case Not:
-		return !SatisfiesTrace(t, x.C, pr)
+		return !satisfies(s, x.C)
 	}
 	return false
-}
-
-// countProven counts the proof-backed accesses in t selected by sel —
-// the |σ(t)| of Definition 3.6 under the proof-carrying reading (see
-// the SatisfiesTrace comment). Both SatisfiesTrace and EvalPrefix
-// count through this helper so the two relations cannot drift.
-func countProven(t trace.Trace, sel model.Selector, pr ProofOracle) int {
-	n := 0
-	for _, a := range t {
-		if sel.SelectAccess(a) && pr.Proven(a) {
-			n++
-		}
-	}
-	return n
-}
-
-// firstMatch returns the index of the first access at or after from
-// that matches the pattern and is attested by the oracle, or -1.
-func firstMatch(t trace.Trace, pattern model.Access, from int, pr ProofOracle) int {
-	for i := from; i < len(t); i++ {
-		if pattern.Matches(t[i]) && pr.Proven(t[i]) {
-			return i
-		}
-	}
-	return -1
 }
 
 // SatisfiesAll reports whether every trace in the set satisfies the

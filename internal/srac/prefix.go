@@ -102,69 +102,8 @@ func EvalPrefix(t trace.Trace, c Constraint, pr ProofOracle) Status {
 // combinations thereof; Pending is never stable (it means exactly
 // that the verdict can still move).
 func EvalPrefixStable(t trace.Trace, c Constraint, pr ProofOracle) (status Status, stable bool) {
-	if pr == nil {
-		pr = AllProven
-	}
-	return evalPrefix(t, c, pr)
-}
-
-func evalPrefix(t trace.Trace, c Constraint, pr ProofOracle) (Status, bool) {
-	switch x := c.(type) {
-	case TrueC:
-		return Satisfied, true
-	case FalseC:
-		return Violated, true
-	case Atom:
-		if firstMatch(t, x.A, 0, pr) >= 0 {
-			// The witness is in the history for good: satisfaction is
-			// stable under extension.
-			return Satisfied, true
-		}
-		return Pending, false
-	case Ordered:
-		i := firstMatch(t, x.First, 0, pr)
-		if i >= 0 && firstMatch(t, x.Second, i+1, pr) >= 0 {
-			return Satisfied, true
-		}
-		return Pending, false
-	case Count:
-		n := countProven(t, x.Sel, pr)
-		switch {
-		case n > x.Max:
-			return Violated, true
-		case n >= x.Min:
-			// Extensions can only grow the count, so satisfaction is
-			// stable exactly when there is no ceiling to cross.
-			return Satisfied, x.Max == Unbounded
-		default:
-			return Pending, false
-		}
-	case And:
-		l, lst := evalPrefix(t, x.Left, pr)
-		r, rst := evalPrefix(t, x.Right, pr)
-		switch {
-		case l == Violated || r == Violated:
-			return Violated, true
-		case l == Satisfied && r == Satisfied:
-			return Satisfied, lst && rst
-		default:
-			return Pending, false
-		}
-	case Or:
-		l, lst := evalPrefix(t, x.Left, pr)
-		r, rst := evalPrefix(t, x.Right, pr)
-		switch {
-		case l == Satisfied || r == Satisfied:
-			return Satisfied, (l == Satisfied && lst) || (r == Satisfied && rst)
-		case l == Violated && r == Violated:
-			return Violated, true
-		default:
-			return Pending, false
-		}
-	case Not:
-		return NegateStable(evalPrefix(t, x.C, pr))
-	}
-	return Pending, false
+	a := EvalWith(c, Scan(t, pr), nil)
+	return a.Status, a.Stable
 }
 
 // AdmitsExtension reports whether the history can still lead to

@@ -153,6 +153,13 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 		t.Fatalf("proofs carried = %d, want 5", len(carried))
 	}
 
+	// A closed client's departure is recorded by its daemon after the
+	// client returns; closing the daemons waits for those writers, so
+	// the WAL read below sees a quiescent buffer.
+	for _, d := range daemons {
+		_ = d.Close()
+	}
+
 	// (a) The determinism oracle, both counting paths.
 	recs, err := record.ReadAll(bytes.NewReader(wal.Bytes()))
 	if err != nil {
